@@ -20,7 +20,8 @@ use dprbg::core::{
 use dprbg::field::{Field, Gf2k};
 use dprbg::metrics::CostReport;
 use dprbg::sim::{
-    BoxedMachine, ParRunner, RoundMachine, RoundProfile, RoundView, RunResult, Step, StepRunner,
+    BoxedMachine, MsgFate, MsgHop, MsgTap, ParRunner, RoundMachine, RoundProfile, RoundView,
+    RunResult, Step, StepRunner, WireSize,
 };
 
 type F = Gf2k<32>;
@@ -414,6 +415,183 @@ fn committee_election_shows_no_positional_bias() {
             (counts[p] as i64 - expected as i64).unsigned_abs() as usize <= 40,
             "party {p} elected {} times, expected ≈ {expected}",
             counts[p]
+        );
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Golden bytes.
+//
+// Parity between executors cannot catch a bug both of them share, so these
+// two runs are pinned against absolute bytes: the transcript, the cost
+// report, the round profile and the Chrome trace export, rendered into one
+// text file per run under `tests/golden/`. Every executor configuration
+// must reproduce the file exactly.
+// ---------------------------------------------------------------------------
+
+/// The executor configurations every golden run is checked on.
+#[derive(Debug, Clone, Copy)]
+enum Exec {
+    Step,
+    Par(usize),
+}
+
+const GOLDEN_EXECUTORS: [Exec; 3] = [Exec::Step, Exec::Par(1), Exec::Par(4)];
+
+/// Run a traced fleet on `exec`, with `tap` at the message hop if given.
+fn run_traced<Msg, Out>(
+    exec: Exec,
+    n: usize,
+    seed: u64,
+    tap: Option<impl MsgTap<Msg> + 'static>,
+    machines: Vec<BoxedMachine<Msg, Out>>,
+) -> RunResult<Out>
+where
+    Msg: Clone + Send + WireSize + 'static,
+    Out: Send,
+{
+    let cfg = dprbg::sim::TraceConfig::full();
+    match exec {
+        Exec::Step => {
+            let runner = StepRunner::new(n, seed).with_trace(cfg);
+            match tap {
+                Some(tap) => runner.with_tap(tap).run(machines),
+                None => runner.run(machines),
+            }
+        }
+        Exec::Par(threads) => {
+            let runner = ParRunner::new(n, seed).with_threads(threads).with_trace(cfg);
+            match tap {
+                Some(tap) => runner.with_tap(tap).run(machines),
+                None => runner.run(machines),
+            }
+        }
+    }
+}
+
+/// FNV-1a over `bytes`: pins the Chrome export by length and digest
+/// instead of inlining it.
+fn fnv64(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+}
+
+/// Render everything a run records into the golden text form.
+fn golden_render<Out>(transcript: &[u8], res: &RunResult<Out>) -> String {
+    let hex: Vec<String> = transcript
+        .chunks(32)
+        .map(|line| line.iter().map(|b| format!("{b:02x}")).collect())
+        .collect();
+    let trace = res.trace.as_ref().expect("golden runs are traced");
+    let chrome = dprbg::trace::to_chrome_json(trace);
+    format!(
+        "transcript\n{}\nreport {:#?}\nrounds {:#?}\ntrace events {}\nchrome bytes {} fnv64 {:016x}\n",
+        hex.join("\n"),
+        res.report,
+        res.rounds,
+        trace.events.len(),
+        chrome.len(),
+        fnv64(chrome.as_bytes()),
+    )
+}
+
+#[test]
+fn golden_coin_gen_n7() {
+    let seed = 1996u64;
+    for exec in GOLDEN_EXECUTORS {
+        let res = run_traced(exec, N, seed, None::<NoTap>, machine_fleet(seed));
+        let transcript = transcript_bytes(
+            res.outputs.iter().map(|o| o.clone().expect("every party completes")).collect(),
+        );
+        assert_eq!(
+            golden_render(&transcript, &res),
+            include_str!("golden/executors_coin_gen.txt"),
+            "Coin-Gen n=7 golden diverged on {exec:?}"
+        );
+    }
+}
+
+/// The no-op tap type for untapped golden runs.
+type NoTap = fn(MsgHop<'_, M>) -> MsgFate<M>;
+
+/// A stateful tap that, by hop count, drops, delays by one round, delays
+/// by three rounds, delays past the end of the run, tampers, or delivers.
+struct Meddler(u64);
+
+impl MsgTap<u64> for Meddler {
+    fn intercept(&mut self, hop: MsgHop<'_, u64>) -> MsgFate<u64> {
+        self.0 += 1;
+        match self.0 % 9 {
+            0 => MsgFate::Drop,
+            2 => MsgFate::Delay(1),
+            4 => MsgFate::Delay(3),
+            6 => MsgFate::Tamper(hop.msg ^ 0x5A5A ^ hop.round),
+            8 if hop.round == 1 => MsgFate::Delay(40),
+            _ => MsgFate::Deliver,
+        }
+    }
+}
+
+/// Chatters for six rounds over every channel kind, logging every
+/// delivery it sees; the payloads draw on the party's RNG so the golden
+/// also pins the per-party RNG derivation.
+struct Chatter {
+    log: ChatterLog,
+}
+
+/// Every delivery a [`Chatter`] saw: `(round, from, seq, broadcast, msg)`.
+type ChatterLog = Vec<(u64, usize, u32, bool, u64)>;
+
+impl RoundMachine<u64> for Chatter {
+    type Output = ChatterLog;
+
+    fn round(&mut self, view: RoundView<'_, u64>) -> Step<u64, Self::Output> {
+        use dprbg_rng::RngExt;
+        for r in view.inbox {
+            self.log.push((view.round, r.from, r.seq, r.broadcast, r.msg));
+        }
+        if view.round == 6 {
+            return Step::Done(std::mem::take(&mut self.log));
+        }
+        let mut out = view.outbox();
+        let tag = view.round * 1000 + view.id as u64;
+        out.send_to_all(tag);
+        out.send(view.id % view.n + 1, tag + view.rng.random::<u64>() % 100);
+        if view.round % 2 == 0 {
+            out.broadcast(tag + 500);
+        }
+        Step::Continue(out)
+    }
+
+    fn phase_name(&self) -> &'static str {
+        "chatter"
+    }
+}
+
+#[test]
+fn golden_tapped_fleet() {
+    const TAPPED_N: usize = 5;
+    let seed = 0x7A99u64;
+    for exec in GOLDEN_EXECUTORS {
+        let machines: Vec<BoxedMachine<u64, ChatterLog>> = (0..TAPPED_N)
+            .map(|_| Box::new(Chatter { log: Vec::new() }) as BoxedMachine<u64, ChatterLog>)
+            .collect();
+        let res = run_traced(exec, TAPPED_N, seed, Some(Meddler(0)), machines);
+        let mut transcript = Vec::new();
+        for out in &res.outputs {
+            for &(round, from, seq, broadcast, msg) in out.as_ref().expect("every party completes") {
+                transcript.extend(round.to_le_bytes());
+                transcript.push(from as u8);
+                transcript.extend(seq.to_le_bytes());
+                transcript.push(u8::from(broadcast));
+                transcript.extend(msg.to_le_bytes());
+            }
+        }
+        assert_eq!(
+            golden_render(&transcript, &res),
+            include_str!("golden/executors_tapped.txt"),
+            "tapped-fleet golden diverged on {exec:?}"
         );
     }
 }
