@@ -55,10 +55,11 @@ pub use epoch::{BeaconMsg, EpochMachine, EpochOutcome, RefillReport};
 pub use health::{EpochOutcomeTag, FlightRecorder, HealthRecord, RefillStatus};
 pub use reservoir::{DrawOutcome, Reservoir, ReservoirConfig};
 pub use service::{
-    epoch_seed, BeaconConfig, BeaconError, BeaconService, BeaconStats, EpochReport, ExecutorKind,
+    epoch_seed, BeaconConfig, BeaconError, BeaconService, BeaconStats, EpochReport,
     FLIGHT_RECORDER_EPOCHS,
 };
 pub use snapshot::SnapshotError;
 pub use supervisor::{EpochDecision, Mode, Supervisor};
 
 pub use dprbg_core::CoinError;
+pub use dprbg_sim::ExecutorKind;

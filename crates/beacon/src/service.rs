@@ -29,9 +29,7 @@ use dprbg_core::{
 };
 use dprbg_field::Field;
 use dprbg_metrics::{CostReport, CostSnapshot, LogicalTime, Registry};
-use dprbg_sim::{
-    AdaptiveAdversary, Attack, BoxedMachine, ParRunner, RunResult, StepRunner, TraceConfig,
-};
+use dprbg_sim::{AdaptiveAdversary, Attack, BoxedMachine, ExecutorKind, RunResult, TraceConfig};
 use dprbg_trace::{Event, EventKind};
 
 use crate::epoch::{BeaconMsg, EpochMachine, EpochOutcome, RefillReport};
@@ -54,20 +52,6 @@ pub(crate) fn mix64(mut z: u64) -> u64 {
 /// snapshotable data, so restored services re-derive identical epochs.
 pub fn epoch_seed(master_seed: u64, epoch: u64) -> u64 {
     mix64(master_seed ^ mix64(epoch.wrapping_add(1)))
-}
-
-/// Which executor drives the epoch fleet. Both are byte-identical per
-/// seed, so the choice is a performance knob — and the determinism
-/// property tests exploit that by mixing them freely.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExecutorKind {
-    /// The single-threaded [`StepRunner`].
-    Step,
-    /// The work-stealing [`ParRunner`] with its default worker pool.
-    Par,
-    /// The [`ParRunner`] pinned to an explicit worker count — the health
-    /// plane's cross-thread-count determinism tests sweep this.
-    ParThreads(usize),
 }
 
 /// Standing configuration of a [`BeaconService`]. Not serialized into
@@ -735,34 +719,17 @@ impl<F: Field> BeaconService<F> {
         adversary: Option<(Attack, usize)>,
         machines: Vec<BoxedMachine<BeaconMsg<F>, EpochOutcome<F>>>,
     ) -> (RunResult<EpochOutcome<F>>, std::collections::BTreeSet<usize>) {
-        let max_rounds = self.cfg.max_rounds_per_epoch;
-        let tap = adversary.map(|(attack, f)| {
-            let adv = AdaptiveAdversary::new(attack, n, f, mix64(seed ^ 0xBAD));
-            let handle = adv.handle();
-            (adv, handle)
-        });
-        match executor {
-            ExecutorKind::Step => {
-                let runner = StepRunner::new(n, seed)
-                    .with_trace(TraceConfig::full())
-                    .with_max_rounds(max_rounds);
-                match tap {
-                    Some((adv, h)) => (runner.with_tap(adv).run(machines), h.snapshot()),
-                    None => (runner.run(machines), std::collections::BTreeSet::new()),
-                }
+        let runner = executor
+            .runner(n, seed)
+            .with_trace(TraceConfig::full())
+            .with_max_rounds(self.cfg.max_rounds_per_epoch);
+        match adversary {
+            Some((attack, f)) => {
+                let adv = AdaptiveAdversary::new(attack, n, f, mix64(seed ^ 0xBAD));
+                let handle = adv.handle();
+                (runner.with_tap(adv).run(machines), handle.snapshot())
             }
-            ExecutorKind::Par | ExecutorKind::ParThreads(_) => {
-                let mut runner = ParRunner::new(n, seed)
-                    .with_trace(TraceConfig::full())
-                    .with_max_rounds(max_rounds);
-                if let ExecutorKind::ParThreads(threads) = executor {
-                    runner = runner.with_threads(threads);
-                }
-                match tap {
-                    Some((adv, h)) => (runner.with_tap(adv).run(machines), h.snapshot()),
-                    None => (runner.run(machines), std::collections::BTreeSet::new()),
-                }
-            }
+            None => (runner.run(machines), std::collections::BTreeSet::new()),
         }
     }
 

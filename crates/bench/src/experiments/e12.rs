@@ -27,11 +27,11 @@
 
 use dprbg_core::VssMode;
 use dprbg_metrics::Table;
-use dprbg_sim::Attack;
+use dprbg_sim::{Attack, ExecutorKind};
 
 use super::common::ExperimentCtx;
 use crate::chaos::{
-    episode_seed, run_campaign, run_episode, CampaignStats, Executor, Protocol, Schedule,
+    episode_seed, run_campaign, run_episode, CampaignStats, Protocol, Schedule,
 };
 
 const N: usize = 7;
@@ -93,7 +93,7 @@ pub fn run(ctx: &ExperimentCtx) -> Vec<Table> {
         for protocol in Protocol::ALL {
             let s = Schedule::new(N, T, 1, M, attack);
             let master = ctx.seed ^ 0xE12;
-            let stats = run_campaign(protocol, &s, per_cell, master, Executor::Stepped);
+            let stats = run_campaign(protocol, &s, per_cell, master, ExecutorKind::Step);
             totals.episodes += stats.episodes;
             totals.agreed += stats.agreed;
             totals.aborted += stats.aborted;
@@ -108,8 +108,8 @@ pub fn run(ctx: &ExperimentCtx) -> Vec<Table> {
             // work-stealing executor.
             let seed0 = episode_seed(master, 0);
             assert_eq!(
-                run_episode(protocol, &s, seed0, Executor::Stepped),
-                run_episode(protocol, &s, seed0, Executor::Parallel),
+                run_episode(protocol, &s, seed0, ExecutorKind::Step),
+                run_episode(protocol, &s, seed0, ExecutorKind::Par),
                 "{}/{} episode 0 diverged between executors",
                 protocol.name(),
                 attack.name()
@@ -149,7 +149,7 @@ pub fn run(ctx: &ExperimentCtx) -> Vec<Table> {
         }),
     ];
     for (protocol, s) in overload {
-        let stats = run_campaign(protocol, &s, per_cell, ctx.seed ^ 0xBAD, Executor::Stepped);
+        let stats = run_campaign(protocol, &s, per_cell, ctx.seed ^ 0xBAD, ExecutorKind::Step);
         non_agreed += stats.aborted + stats.unsound;
         let label = if s.attack.within_model() {
             format!("{}/{}", protocol.name(), s.attack.name())
@@ -191,7 +191,7 @@ mod tests {
                 Protocol::BatchVss,
                 &s,
                 episode_seed(0xB0B, i),
-                Executor::Stepped,
+                ExecutorKind::Step,
             );
             assert_eq!(ep.outcome, Outcome::Unsound);
         }

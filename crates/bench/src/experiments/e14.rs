@@ -21,7 +21,7 @@
 //! re-elect from its own output stream.
 //!
 //! Before any numbers are recorded, trial 0 of every row is run on both
-//! executors ([`StepRunner`] and [`ParRunner`]) and asserted identical —
+//! executors ([`ExecutorKind::Step`] and [`ExecutorKind::ParThreads`]) and asserted identical —
 //! outputs and cost report.
 
 use std::mem;
@@ -32,7 +32,7 @@ use dprbg_core::{
 };
 use dprbg_field::Field;
 use dprbg_metrics::{CostReport, Table};
-use dprbg_sim::{BoxedMachine, ParRunner, PartyId, StepRunner};
+use dprbg_sim::{BoxedMachine, ExecutorKind, PartyId};
 
 use super::common::{seed_wallets, ExperimentCtx, PlayerCost, F32};
 use crate::harness::wilson_interval;
@@ -74,7 +74,7 @@ fn run_trial(
     m: usize,
     election_seed: u64,
     run_seed: u64,
-    parallel: bool,
+    executor: ExecutorKind,
 ) -> (Vec<Option<Out>>, CostReport) {
     let committee = elect_committee(election_seed, n, c);
     let cfg = CoinGenConfig {
@@ -82,11 +82,7 @@ fn run_trial(
         batch_size: m,
     };
     let machines = fleet(n, &committee, cfg, run_seed ^ 0xA11E7);
-    let res = if parallel {
-        ParRunner::new(n, run_seed).with_threads(4).run(machines)
-    } else {
-        StepRunner::new(n, run_seed).run(machines)
-    };
+    let res = executor.runner(n, run_seed).run(machines);
     (res.outputs, res.report)
 }
 
@@ -122,8 +118,9 @@ pub fn run(ctx: &ExperimentCtx) -> Table {
 
         // Executor parity on trial 0, before anything is recorded.
         let seed0 = ctx.seed ^ 0xE14 ^ n as u64;
-        let (outs_s, report_s) = run_trial(n, c, m, seed0, seed0 + 1, false);
-        let (outs_p, report_p) = run_trial(n, c, m, seed0, seed0 + 1, true);
+        let (outs_s, report_s) = run_trial(n, c, m, seed0, seed0 + 1, ExecutorKind::Step);
+        let (outs_p, report_p) =
+            run_trial(n, c, m, seed0, seed0 + 1, ExecutorKind::ParThreads(4));
         assert_eq!(outs_s, outs_p, "n={n}: ParRunner outputs diverged from StepRunner");
         assert_eq!(report_s, report_p, "n={n}: cost reports diverged between executors");
 
@@ -132,7 +129,7 @@ pub fn run(ctx: &ExperimentCtx) -> Table {
         let mut cost: Option<PlayerCost> = None;
         for trial in 0..trials {
             let (outs, report) =
-                run_trial(n, c, m, election_seed, seed0 + 1 + trial as u64, false);
+                run_trial(n, c, m, election_seed, seed0 + 1 + trial as u64, ExecutorKind::Step);
             if let Some(batch) = unanimous(&outs) {
                 successes += 1;
                 // Self-referential re-election: next committee from this

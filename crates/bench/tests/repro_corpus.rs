@@ -29,7 +29,7 @@
 use dprbg_beacon::{BeaconConfig, BeaconService, ExecutorKind, ReservoirConfig};
 use dprbg_bench::chaos::{
     run_composite_episode, run_composite_episode_traced, run_episode, run_episode_traced,
-    Episode, Executor, Outcome, Protocol, Schedule,
+    Episode, Outcome, Protocol, Schedule,
 };
 use dprbg_core::{CoinGenConfig, Params, RetryPolicy, VssMode};
 use dprbg_sim::{Attack, Trace};
@@ -67,7 +67,7 @@ fn over_threshold_crash_starves_coin_gen_clique() {
     let (ep, forensics) = run_episode_traced(Protocol::CoinGen, &s, 1, RING);
     check_entry(&ep, &forensics, Outcome::GracefulAbort, &[1, 2, 3], 36);
     // Teleport property: the triple replays identically on the pool.
-    assert_eq!(ep, run_episode(Protocol::CoinGen, &s, 1, Executor::Parallel));
+    assert_eq!(ep, run_episode(Protocol::CoinGen, &s, 1, ExecutorKind::Par));
 }
 
 #[test]
@@ -108,7 +108,7 @@ fn broken_broadcast_splits_strict_batch_vss_verdict() {
     s.vss_mode = VssMode::Strict;
     let (ep, forensics) = run_episode_traced(Protocol::BatchVss, &s, 7, RING);
     check_entry(&ep, &forensics, Outcome::Unsound, &[1], 2);
-    assert_eq!(ep, run_episode(Protocol::BatchVss, &s, 7, Executor::Parallel));
+    assert_eq!(ep, run_episode(Protocol::BatchVss, &s, 7, ExecutorKind::Par));
 }
 
 #[test]
@@ -134,10 +134,10 @@ fn escalating_composite_schedule_aborts_coin_gen() {
     let s = Schedule::new(7, 1, 3, 4, legs[0].1);
     let (ep, forensics) = run_composite_episode_traced(Protocol::CoinGen, &s, legs, 17, RING);
     check_entry(&ep, &forensics, Outcome::GracefulAbort, &[1, 2, 3], 36);
-    assert_eq!(run_episode(Protocol::CoinGen, &s, 17, Executor::Stepped).outcome, Outcome::Agreed);
+    assert_eq!(run_episode(Protocol::CoinGen, &s, 17, ExecutorKind::Step).outcome, Outcome::Agreed);
     assert_eq!(
         ep,
-        run_composite_episode(Protocol::CoinGen, &s, legs, 17, Executor::Parallel),
+        run_composite_episode(Protocol::CoinGen, &s, legs, 17, ExecutorKind::Par),
         "composite repro must replay identically on the pool"
     );
 }

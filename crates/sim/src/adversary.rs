@@ -44,7 +44,10 @@ pub enum MsgFate<M> {
     Drop,
     /// Deliver `extra` rounds late (`Delay(0)` ≡ `Deliver`). The copy
     /// keeps its original sender/sequence coordinates, so a delayed
-    /// message merges deterministically into the later inbox.
+    /// message merges deterministically into the later inbox. The due
+    /// round saturates at `u64::MAX`, so a delay that reaches past the
+    /// end of the run (e.g. `Delay(u64::MAX)`) never matures: the copy
+    /// is never delivered.
     Delay(u64),
     /// Replace the payload before delivery (per-copy, enabling broadcast
     /// equivocation).
@@ -168,7 +171,7 @@ impl FaultPlan {
 mod tests {
     use super::*;
     use crate::machine::{from_fn, silent, BoxedMachine, RoundView, Step};
-    use crate::step::StepRunner;
+    use crate::StepRunner;
 
     #[test]
     fn fault_plan_shapes() {
@@ -291,7 +294,7 @@ mod tests {
     #[test]
     fn tapped_runs_agree_across_executors() {
         use crate::machine::{RoundMachine, RoundView, Step};
-        use crate::par::ParRunner;
+        use crate::ParRunner;
 
         /// Two gossip rounds so delayed messages have somewhere to land.
         struct TwoRounds;

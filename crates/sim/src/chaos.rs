@@ -649,8 +649,8 @@ impl SoakPlan {
 mod tests {
     use super::*;
     use crate::machine::{BoxedMachine, RoundMachine, RoundView, Step};
-    use crate::par::ParRunner;
-    use crate::step::StepRunner;
+    use crate::ParRunner;
+    use crate::StepRunner;
 
     /// A gossip fleet with deliberately skewed traffic: everyone
     /// broadcasts + unicasts each round, and party `heavy` sends one

@@ -250,8 +250,7 @@ pub struct RunResult<Out> {
     /// Per-round delivery profile — the protocol's round anatomy.
     pub rounds: Vec<RoundProfile>,
     /// The merged logical trace, when the run was executed with tracing
-    /// ([`StepRunner::with_trace`](crate::StepRunner::with_trace),
-    /// [`ParRunner::with_trace`](crate::ParRunner::with_trace)).
+    /// ([`Runner::with_trace`](crate::Runner::with_trace)).
     pub trace: Option<Trace>,
 }
 
@@ -635,7 +634,6 @@ where
                 }
             }
         }
-        msgs.sort_by_key(|r| (r.from, r.seq));
         let inner_inbox = Inbox::from_messages(msgs);
         let inner_view = RoundView {
             id: self.rank,
@@ -697,7 +695,7 @@ impl<M, A: RoundMachine<M>> MachineExt<M> for A {}
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::step::StepRunner;
+    use crate::StepRunner;
 
     /// Echo machine: round 0 sends `value` to everyone, round 1 sums what
     /// arrived.

@@ -1,11 +1,10 @@
 //! Round-delivery types shared by the executors.
 //!
-//! The executors enforce lock-step synchrony themselves (see
-//! [`StepRunner`](crate::StepRunner) and [`ParRunner`](crate::ParRunner));
-//! this module holds the vocabulary they share: party identifiers, the
-//! [`Received`] envelope a delivery produces, the per-round
-//! [`RoundProfile`], and the deterministic [`Inbox`] every machine reads
-//! at a round boundary. A message sent in round `r` is visible exactly at
+//! The round core enforces lock-step synchrony under every executor (see
+//! [`Runner`](crate::Runner)); this module holds the vocabulary it uses:
+//! party identifiers, the [`Received`] envelope a delivery produces, the
+//! per-round [`RoundProfile`], and the deterministic [`Inbox`] every
+//! machine reads at a round boundary. A message sent in round `r` is visible exactly at
 //! round `r + 1`, sorted by `(sender, send order)`.
 
 /// A party identifier, 1-based to match the paper's `P_1 … P_n`.
@@ -51,16 +50,12 @@ impl<M> Inbox<M> {
     }
 
     /// Build an inbox from a batch of deliveries, establishing the
-    /// canonical `(from, seq)` order. Adapters that narrow or translate
-    /// another inbox (committee subnets, multiplexed sub-protocols) build
-    /// their synthetic inboxes through this.
+    /// canonical `(from, seq)` order. This is the one place that order is
+    /// established: the round flip builds every delivered inbox through
+    /// it, and so do adapters that narrow or translate another inbox
+    /// (committee subnets, multiplexed sub-protocols).
     pub fn from_messages(mut msgs: Vec<Received<M>>) -> Self {
         msgs.sort_by_key(|r| (r.from, r.seq));
-        Inbox { msgs }
-    }
-
-    /// Build an inbox from messages already sorted by `(from, seq)`.
-    pub(crate) fn from_sorted(msgs: Vec<Received<M>>) -> Self {
         Inbox { msgs }
     }
 

@@ -24,6 +24,12 @@ cargo build --release --offline
 echo "== tests (workspace, offline) =="
 cargo test -q --workspace --offline
 
+echo "== tests (dprbg-sim, release, offline) =="
+# The workspace tests above run in debug, where integer overflow panics;
+# in release it wraps instead. The round core's tests run again under
+# release arithmetic so a wrap cannot hide behind a debug-only panic.
+cargo test --release -q -p dprbg-sim --offline
+
 echo "== lint (clippy, workspace, offline) =="
 cargo clippy --workspace --offline -- -D warnings
 
