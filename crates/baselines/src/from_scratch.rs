@@ -14,6 +14,8 @@
 //! interpolations and `O(t·n·k)` field elements of traffic, against the
 //! paper's amortized **one** interpolation and `O(n)` messages.
 
+use std::sync::Arc;
+
 use dprbg_field::Field;
 use dprbg_metrics::WireSize;
 use dprbg_poly::interpolate;
@@ -79,13 +81,13 @@ where
     ) -> Step<FromScratchMsg<F>, A::Output> {
         let mut msgs: Vec<Received<CcdMsg<F>>> = Vec::new();
         for rcv in view.inbox.iter() {
-            if let FromScratchMsg::Ccd { instance, inner } = &rcv.msg {
+            if let FromScratchMsg::Ccd { instance, inner } = &*rcv.msg {
                 if *instance == self.instance {
                     msgs.push(Received {
                         from: rcv.from,
                         broadcast: rcv.broadcast,
                         seq: rcv.seq,
-                        msg: inner.clone(),
+                        msg: Arc::new(inner.clone()),
                     });
                 }
             }
@@ -128,7 +130,7 @@ fn expose_sum<F: Field>(
         None => {
             let mut points: Vec<(F, F)> = Vec::new();
             for rcv in view.inbox.broadcasts() {
-                if let FromScratchMsg::Sum(s) = &rcv.msg {
+                if let FromScratchMsg::Sum(s) = &*rcv.msg {
                     let x = F::element(rcv.from as u64);
                     if points.iter().all(|(px, _)| *px != x) {
                         points.push((x, *s));

@@ -21,6 +21,8 @@
 //! win over a serial refill-then-serve beacon, whose window costs
 //! `2 + coin_gen_rounds`.
 
+use std::sync::Arc;
+
 use dprbg_core::{
     coin_gen_with_retry, CoinBatch, CoinGenConfig, CoinGenMsg, CoinWallet, ExposeMachine,
     ExposeMsg, ExposeVia, ProtocolError, RetryPolicy, RetryReport, SealedShare,
@@ -184,7 +186,7 @@ fn plane_inbox<F: Field, N>(
                 from: r.from,
                 broadcast: r.broadcast,
                 seq: r.seq,
-                msg,
+                msg: Arc::new(msg),
             })
         })
         .collect();

@@ -90,6 +90,17 @@ struct ExecutorLeg {
     transcripts_identical: bool,
     traces_identical: bool,
     chrome_round_trip_ok: bool,
+    /// The step run's [`digest`], for the untraced leg to match.
+    transcript: String,
+}
+
+/// Outcome of the untraced leg: the end-to-end wall times (the traced
+/// leg also pays for recording spans) and whether both runs reproduced
+/// the traced transcript.
+struct UntracedLeg {
+    step_ms: f64,
+    par_ms: f64,
+    transcripts_identical: bool,
 }
 
 fn executor_leg(n: usize, t: usize, m: usize, seed: u64) -> ExecutorLeg {
@@ -113,9 +124,33 @@ fn executor_leg(n: usize, t: usize, m: usize, seed: u64) -> ExecutorLeg {
     let par_json = to_chrome_json(&par_trace);
     let chrome_round_trip_ok =
         step_json == par_json && validate_chrome_json(&par_json).is_ok();
-    let transcripts_identical = digest(stepped) == digest(parallel);
+    let transcript = digest(stepped);
+    let transcripts_identical = transcript == digest(parallel);
 
-    ExecutorLeg { step_ms, par_ms, threads, transcripts_identical, traces_identical, chrome_round_trip_ok }
+    ExecutorLeg {
+        step_ms,
+        par_ms,
+        threads,
+        transcripts_identical,
+        traces_identical,
+        chrome_round_trip_ok,
+        transcript,
+    }
+}
+
+/// Time the same fleet untraced, parallel first as in [`executor_leg`],
+/// and check both transcripts against the traced one.
+fn untraced_leg(n: usize, t: usize, m: usize, seed: u64, transcript: &str) -> UntracedLeg {
+    let start = Instant::now();
+    let parallel = ParRunner::new(n, seed).run(beacon_fleet(n, t, m, seed));
+    let par_ms = start.elapsed().as_secs_f64() * 1e3;
+
+    let start = Instant::now();
+    let stepped = StepRunner::new(n, seed).run(beacon_fleet(n, t, m, seed));
+    let step_ms = start.elapsed().as_secs_f64() * 1e3;
+
+    let transcripts_identical = digest(parallel) == transcript && digest(stepped) == transcript;
+    UntracedLeg { step_ms, par_ms, transcripts_identical }
 }
 
 /// Time decoding `words` clean degree-`t` words over `n` abscissas,
@@ -190,12 +225,13 @@ pub fn run(ctx: &ExperimentCtx) -> Table {
     let (n, t) = if ctx.quick { (31, 5) } else { (61, 10) };
     let m = if ctx.quick { 2 } else { 4 };
     let leg = executor_leg(n, t, m, ctx.seed + 2);
+    let untraced = untraced_leg(n, t, m, ctx.seed + 2, &leg.transcript);
     table.row(
-        &format!("StepRunner  coin-gen n={n} t={t} M={m}"),
+        &format!("StepRunner  coin-gen n={n} t={t} M={m} traced"),
         &[format!("{:.1} ms", leg.step_ms), "1.0".into(), "reference".into()],
     );
     table.row(
-        &format!("ParRunner   coin-gen n={n} t={t} M={m} ({} threads)", leg.threads),
+        &format!("ParRunner   coin-gen n={n} t={t} M={m} traced ({} threads)", leg.threads),
         &[
             format!("{:.1} ms", leg.par_ms),
             fmt_f(leg.step_ms / leg.par_ms.max(1e-9)),
@@ -214,6 +250,23 @@ pub fn run(ctx: &ExperimentCtx) -> Table {
             "-".into(),
             if leg.chrome_round_trip_ok { "par trace round-trip OK" } else { "TRACE EXPORT BROKEN" }
                 .into(),
+        ],
+    );
+    let untraced_parity = if untraced.transcripts_identical {
+        "untraced transcripts = traced: OK"
+    } else {
+        "UNTRACED DIVERGENCE"
+    };
+    table.row(
+        &format!("StepRunner  coin-gen n={n} t={t} M={m} untraced"),
+        &[format!("{:.1} ms", untraced.step_ms), "1.0".into(), untraced_parity.into()],
+    );
+    table.row(
+        &format!("ParRunner   coin-gen n={n} t={t} M={m} untraced ({} threads)", leg.threads),
+        &[
+            format!("{:.1} ms", untraced.par_ms),
+            fmt_f(untraced.step_ms / untraced.par_ms.max(1e-9)),
+            untraced_parity.into(),
         ],
     );
 
@@ -262,6 +315,7 @@ mod tests {
         let s = run(&ExperimentCtx::new(true)).render();
         assert!(s.contains("executor parity OK"), "{s}");
         assert!(s.contains("par trace round-trip OK"), "{s}");
+        assert!(s.contains("untraced transcripts = traced: OK"), "{s}");
         assert!(s.contains("backends agree"), "{s}");
     }
 }

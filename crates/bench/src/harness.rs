@@ -74,7 +74,8 @@ impl From<String> for BenchmarkId {
 /// One measured benchmark, as serialized to the JSON report.
 #[derive(Debug, Clone)]
 pub struct BenchRecord {
-    /// Owning group name (`""` for ungrouped `bench_function` calls).
+    /// Owning group name: the [`BenchmarkGroup`] name, or the
+    /// `criterion_group!` label for a top-level `bench_function` call.
     pub group: String,
     /// Benchmark name within the group.
     pub name: String,
@@ -287,20 +288,22 @@ pub struct Criterion {
 
 impl Criterion {
     /// A harness for one bench binary; `label` names the
-    /// `criterion_group!` it runs (used only in progress output).
+    /// `criterion_group!` it runs, and is the group recorded for
+    /// [`bench_function`](Self::bench_function).
     pub fn new(label: &str) -> Self {
         let quick = std::env::var("DPRBG_BENCH_QUICK").is_ok_and(|v| v != "0");
         eprintln!("# dprbg bench harness: group `{label}`{}", if quick { " (quick)" } else { "" });
         Criterion { label: label.to_string(), quick, records: Vec::new() }
     }
 
-    /// Benchmark `f` directly under the harness root.
+    /// Benchmark `f` directly under the harness root, recorded under the
+    /// `criterion_group!` label.
     pub fn bench_function<F>(&mut self, id: impl Into<BenchmarkId>, f: F) -> &mut Self
     where
         F: FnMut(&mut Bencher),
     {
         let id = id.into();
-        self.run_one(String::new(), id.name, None, f);
+        self.run_one(self.label.clone(), id.name, None, f);
         self
     }
 
@@ -584,6 +587,18 @@ mod tests {
         });
         assert_eq!(c.records.len(), 1);
         assert!(c.records[0].median_ns > 0 || c.records[0].iters_per_sample > 0);
+    }
+
+    #[test]
+    fn top_level_benches_record_the_group_label() {
+        std::env::set_var("DPRBG_BENCH_QUICK", "1");
+        let mut c = Criterion::new("e8");
+        c.bench_function("gf2k_mul/k=8", |b| b.iter(|| 3u8.wrapping_mul(5)));
+        c.benchmark_group("named").bench_function("inner", |b| b.iter(|| 1u8));
+        let groups: Vec<&str> = c.records.iter().map(|r| r.group.as_str()).collect();
+        assert_eq!(groups, ["e8", "named"]);
+        let back = parse_json_line(&c.records[0].to_json_line()).expect("parses");
+        assert_eq!((back.group.as_str(), back.name.as_str()), ("e8", "gf2k_mul/k=8"));
     }
 
     #[test]

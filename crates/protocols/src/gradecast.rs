@@ -22,7 +22,7 @@
 use std::marker::PhantomData;
 
 use dprbg_metrics::WireSize;
-use dprbg_sim::{Embeds, PartyId, RoundMachine, RoundView, Step};
+use dprbg_sim::{Embeds, Inbox, PartyId, RoundMachine, RoundView, Step};
 
 /// Wire messages of the parallel grade-cast instances.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -70,23 +70,51 @@ impl<V> GradeOutput<V> {
     }
 }
 
-/// Count, among `(party, value)` pairs, the support for each distinct
-/// value, counting at most one entry per party; return the best value with
-/// its count.
-fn best_supported<V: Clone + Eq>(entries: &[(PartyId, V)]) -> Option<(V, usize)> {
-    let mut tally: Vec<(V, usize)> = Vec::new();
+/// Count, among `(party, value)` pairs borrowed from the inbox, the
+/// support for each distinct value, counting at most one entry per party;
+/// return the best value with its count.
+///
+/// Values are compared by address first: the copies of one `send_to_all`
+/// share an allocation, so they match without a deep comparison, while
+/// distinct allocations (equivocations included) still fall back to `==`.
+/// Ties go to the value first seen last, as `max_by_key` breaks them.
+fn best_supported<'a, V: Eq>(entries: &[(PartyId, &'a V)]) -> Option<(&'a V, usize)> {
+    let mut tally: Vec<(&'a V, usize)> = Vec::new();
     let mut seen: Vec<PartyId> = Vec::new();
-    for (p, v) in entries {
-        if seen.contains(p) {
+    for &(p, v) in entries {
+        if seen.contains(&p) {
             continue; // a party only gets one voice per instance
         }
-        seen.push(*p);
-        match tally.iter_mut().find(|(tv, _)| tv == v) {
+        seen.push(p);
+        match tally.iter_mut().find(|(tv, _)| std::ptr::eq(*tv, v) || *tv == v) {
             Some((_, c)) => *c += 1,
-            None => tally.push((v.clone(), 1)),
+            None => tally.push((v, 1)),
         }
     }
     tally.into_iter().max_by_key(|(_, c)| *c)
+}
+
+/// The inbox's `(sender, value)` pairs of one message kind, grouped by
+/// instance (index `j − 1` is instance `j`), each value borrowed from its
+/// delivered copy. `pick` selects the kind and reads its instance tag;
+/// out-of-range tags (Byzantine garbage) are dropped.
+fn by_instance<'a, M, V>(
+    inbox: &'a Inbox<M>,
+    n: usize,
+    pick: impl Fn(&'a GcMsg<V>) -> Option<(PartyId, &'a V)>,
+) -> Vec<Vec<(PartyId, &'a V)>>
+where
+    M: Embeds<GcMsg<V>>,
+{
+    let mut groups = vec![Vec::new(); n];
+    for r in inbox {
+        if let Some((instance, value)) = <M as Embeds<GcMsg<V>>>::peek(&r.msg).and_then(&pick) {
+            if (1..=n).contains(&instance) {
+                groups[instance - 1].push((r.from, value));
+            }
+        }
+    }
+    groups
 }
 
 /// The `n` parallel grade-cast instances as a sans-IO round machine —
@@ -127,7 +155,7 @@ impl<M, V> GradecastMachine<M, V> {
 
 impl<M, V> RoundMachine<M> for GradecastMachine<M, V>
 where
-    M: Clone + WireSize + Embeds<GcMsg<V>>,
+    M: WireSize + Embeds<GcMsg<V>>,
     V: Clone + Eq + WireSize,
 {
     type Output = Vec<GradeOutput<V>>;
@@ -146,17 +174,15 @@ where
             }
             GcPhase::Echo => {
                 // received[j-1] = what instance j's sender told us.
-                let mut received: Vec<Option<V>> = vec![None; n];
+                let mut received: Vec<Option<&V>> = vec![None; n];
                 for r in view.inbox.iter() {
-                    if let Some(GcMsg::Value(v)) = r.msg.peek() {
-                        if received[r.from - 1].is_none() {
-                            received[r.from - 1] = Some(v.clone());
-                        }
+                    if let Some(GcMsg::Value(v)) = <M as Embeds<GcMsg<V>>>::peek(&r.msg) {
+                        received[r.from - 1].get_or_insert(v);
                     }
                 }
                 let mut out = view.outbox();
-                for j in 1..=n {
-                    if let Some(v) = &received[j - 1] {
+                for (j, v) in (1..=n).zip(received) {
+                    if let Some(v) = v {
                         out.send_to_all(M::wrap(GcMsg::Echo { instance: j, value: v.clone() }));
                     }
                 }
@@ -164,19 +190,15 @@ where
                 Step::Continue(out)
             }
             GcPhase::Vote => {
-                let mut echoes: Vec<Vec<(PartyId, V)>> = vec![Vec::new(); n];
-                for r in view.inbox.iter() {
-                    if let Some(GcMsg::Echo { instance, value }) = r.msg.peek() {
-                        if (1..=n).contains(instance) {
-                            echoes[instance - 1].push((r.from, value.clone()));
-                        }
-                    }
-                }
+                let echoes = by_instance(view.inbox, n, |msg| match msg {
+                    GcMsg::Echo { instance, value } => Some((*instance, value)),
+                    _ => None,
+                });
                 let mut out = view.outbox();
-                for j in 1..=n {
-                    if let Some((v, c)) = best_supported(&echoes[j - 1]) {
+                for (j, echoes) in (1..=n).zip(&echoes) {
+                    if let Some((v, c)) = best_supported(echoes) {
                         if c >= n - t {
-                            out.send_to_all(M::wrap(GcMsg::Vote { instance: j, value: v }));
+                            out.send_to_all(M::wrap(GcMsg::Vote { instance: j, value: v.clone() }));
                         }
                     }
                 }
@@ -184,21 +206,19 @@ where
                 Step::Continue(out)
             }
             GcPhase::Decide => {
-                let mut votes: Vec<Vec<(PartyId, V)>> = vec![Vec::new(); n];
-                for r in view.inbox.iter() {
-                    if let Some(GcMsg::Vote { instance, value }) = r.msg.peek() {
-                        if (1..=n).contains(instance) {
-                            votes[instance - 1].push((r.from, value.clone()));
-                        }
-                    }
-                }
+                let votes = by_instance(view.inbox, n, |msg| match msg {
+                    GcMsg::Vote { instance, value } => Some((*instance, value)),
+                    _ => None,
+                });
                 Step::Done(
-                    (0..n)
-                        .map(|idx| match best_supported(&votes[idx]) {
-                            Some((v, c)) if c >= n - t => {
-                                GradeOutput { value: Some(v), confidence: 2 }
-                            }
-                            Some((v, c)) if c > t => GradeOutput { value: Some(v), confidence: 1 },
+                    votes
+                        .iter()
+                        .map(|votes| match best_supported(votes) {
+                            // n − t > t, so confidence 2 implies 1.
+                            Some((v, c)) if c > t => GradeOutput {
+                                value: Some(v.clone()),
+                                confidence: if c >= n - t { 2 } else { 1 },
+                            },
                             _ => GradeOutput::none(),
                         })
                         .collect(),
@@ -220,6 +240,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dprbg_rng::prelude::*;
     use dprbg_sim::{from_fn, BoxedMachine, FaultPlan, StepRunner};
 
     type V = u64;
@@ -355,10 +376,59 @@ mod tests {
 
     #[test]
     fn duplicate_voices_counted_once() {
-        let entries = vec![(1, 7u64), (1, 7), (1, 7), (2, 7), (3, 9)];
+        let (seven, nine) = (7u64, 9u64);
+        let entries = [(1, &seven), (1, &seven), (1, &7), (2, &7), (3, &nine)];
         let (v, c) = best_supported(&entries).unwrap();
-        assert_eq!((v, c), (7, 2));
+        assert_eq!((*v, c), (7, 2));
         assert_eq!(best_supported::<u64>(&[]), None);
+    }
+
+    /// The deep-equality tally the borrowed one must agree with: owned
+    /// values, compared with `==` only.
+    fn reference_best(entries: &[(PartyId, u64)]) -> Option<(u64, usize)> {
+        let mut tally: Vec<(u64, usize)> = Vec::new();
+        let mut seen: Vec<PartyId> = Vec::new();
+        for &(p, v) in entries {
+            if !seen.contains(&p) {
+                seen.push(p);
+                match tally.iter_mut().find(|(tv, _)| *tv == v) {
+                    Some((_, c)) => *c += 1,
+                    None => tally.push((v, 1)),
+                }
+            }
+        }
+        tally.into_iter().max_by_key(|(_, c)| *c)
+    }
+
+    proptest! {
+        #[test]
+        fn borrowed_tally_matches_deep_equality(
+            codes in vec_of(0u64..60, 0..24),
+            share: u64,
+        ) {
+            // Each code is one voice: party `code % 5 + 1` (so parties
+            // repeat) voting for `code / 5 % 3` (so values repeat and
+            // differ). Every value starts in its own allocation; where
+            // `share` has the entry's bit set it borrows an earlier equal
+            // value's allocation instead, as copies of one send do.
+            let values: Vec<Box<u64>> = codes.iter().map(|&c| Box::new(c / 5 % 3)).collect();
+            let entries: Vec<(PartyId, &u64)> = codes
+                .iter()
+                .enumerate()
+                .map(|(i, &c)| {
+                    let own: &u64 = &values[i];
+                    let shared = (share >> (i % 64)) & 1 == 1;
+                    let v = match values[..i].iter().find(|w| ***w == *own) {
+                        Some(w) if shared => &**w,
+                        _ => own,
+                    };
+                    (c as usize % 5 + 1, v)
+                })
+                .collect();
+            let owned: Vec<(PartyId, u64)> = entries.iter().map(|&(p, v)| (p, *v)).collect();
+            let borrowed = best_supported(&entries).map(|(v, c)| (*v, c));
+            prop_assert_eq!(borrowed, reference_best(&owned));
+        }
     }
 
     #[test]

@@ -35,6 +35,16 @@
 //! a **message hop** where an optional [`MsgTap`] adversary can drop,
 //! delay, or tamper per message ([`Runner::with_tap`]).
 //!
+//! Payloads are delivered shared: [`Received::msg`] is an
+//! [`Arc`](std::sync::Arc), and every copy of one `send_to_all` or
+//! broadcast points at the same allocation (a tampered copy gets its own).
+//! The charges above are still per copy, so sharing changes no count.
+//! Since copies cross worker threads under [`ParRunner`], a wire type run
+//! there (or through [`ExecutorKind`]) must be `Send + Sync`. Read a
+//! payload through the wire type's own impl —
+//! `<M as Embeds<X>>::peek(&r.msg)`, or `&*r.msg` for a `match` — since
+//! `r.msg.peek()` on the `Arc` resolves to the reflexive [`Embeds`] impl.
+//!
 //! # Examples
 //!
 //! ```
@@ -49,7 +59,7 @@
 //!                 out.send_to_all(view.id as u64);
 //!                 Step::Continue(out)
 //!             } else {
-//!                 Step::Done(view.inbox.iter().map(|r| r.msg).sum::<u64>())
+//!                 Step::Done(view.inbox.iter().map(|r| *r.msg).sum::<u64>())
 //!             }
 //!         })) as BoxedMachine<u64, u64>
 //!     })

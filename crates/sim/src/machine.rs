@@ -23,6 +23,8 @@
 //! The first `round` call sees an empty inbox (there is no round `-1` to
 //! deliver from); a machine's initial sends happen there.
 
+use std::sync::Arc;
+
 use dprbg_metrics::{comm, CostReport, WireSize};
 use dprbg_rng::rngs::StdRng;
 use dprbg_trace::Trace;
@@ -191,10 +193,14 @@ pub struct FlushStats {
     pub bytes: u64,
 }
 
-impl<M: Clone + WireSize> Outbox<M> {
+impl<M: WireSize> Outbox<M> {
     /// Expand every envelope into deliveries, assigning sequence numbers
     /// and charging the communication counters: one message per unicast
     /// copy, one message per ideal broadcast. Returns the charged totals.
+    ///
+    /// Each envelope's payload is wrapped in one [`Arc`] and every copy
+    /// of it shares that allocation; the charges are still per copy, so
+    /// sharing changes no count.
     pub(crate) fn flush(
         self,
         from: PartyId,
@@ -209,26 +215,27 @@ impl<M: Clone + WireSize> Outbox<M> {
             stats.bytes += bytes;
         };
         for (dest, msg) in self.envelopes {
+            let bytes = msg.wire_bytes() as u64;
+            let msg = Arc::new(msg);
             match dest {
                 Dest::One(to) => {
-                    charge(&mut stats, msg.wire_bytes() as u64);
+                    charge(&mut stats, bytes);
                     post(to, Received { from, broadcast: false, seq: *seq, msg });
                     *seq += 1;
                 }
                 Dest::All => {
                     for to in 1..=n {
-                        charge(&mut stats, msg.wire_bytes() as u64);
-                        post(
-                            to,
-                            Received { from, broadcast: false, seq: *seq, msg: msg.clone() },
-                        );
+                        charge(&mut stats, bytes);
+                        let msg = Arc::clone(&msg);
+                        post(to, Received { from, broadcast: false, seq: *seq, msg });
                         *seq += 1;
                     }
                 }
                 Dest::Broadcast => {
-                    charge(&mut stats, msg.wire_bytes() as u64);
+                    charge(&mut stats, bytes);
                     for to in 1..=n {
-                        post(to, Received { from, broadcast: true, seq: *seq, msg: msg.clone() });
+                        let msg = Arc::clone(&msg);
+                        post(to, Received { from, broadcast: true, seq: *seq, msg });
                     }
                     *seq += 1;
                 }
@@ -624,12 +631,12 @@ where
         let mut msgs: Vec<Received<Inner>> = Vec::new();
         for rcv in view.inbox.iter() {
             if let Some(rank0) = self.members.iter().position(|&m| m == rcv.from) {
-                if let Some(inner) = rcv.msg.peek() {
+                if let Some(inner) = <M as Embeds<Inner>>::peek(&rcv.msg) {
                     msgs.push(Received {
                         from: rank0 + 1,
                         broadcast: rcv.broadcast,
                         seq: rcv.seq,
-                        msg: inner.clone(),
+                        msg: Arc::new(inner.clone()),
                     });
                 }
             }
@@ -711,7 +718,7 @@ mod tests {
                 out.send_to_all(self.value);
                 Step::Continue(out)
             } else {
-                Step::Done(view.inbox.iter().map(|r| r.msg).sum())
+                Step::Done(view.inbox.iter().map(|r| *r.msg).sum())
             }
         }
     }
@@ -732,7 +739,44 @@ mod tests {
         assert_eq!(posts.len(), 8);
         let bcast: Vec<_> = posts.iter().filter(|(_, r)| r.broadcast).collect();
         assert_eq!(bcast.len(), 3);
-        assert!(bcast.iter().all(|(_, r)| r.seq == 5 && r.msg == 10));
+        assert!(bcast.iter().all(|(_, r)| r.seq == 5 && *r.msg == 10));
+    }
+
+    #[test]
+    fn fan_out_copies_share_one_allocation() {
+        let mut out = Outbox::<u32>::new(4);
+        out.send_to_all(9);
+        out.broadcast(10);
+        out.send(2, 11);
+        let mut posts = Vec::new();
+        let mut seq = 0;
+        out.flush(1, &mut seq, |to, rcv| posts.push((to, rcv)));
+        let (all, rest) = posts.split_at(4);
+        let (bcast, one) = rest.split_at(4);
+        for copies in [all, bcast] {
+            assert!(copies.iter().all(|(_, r)| Arc::ptr_eq(&r.msg, &copies[0].1.msg)));
+        }
+        assert!(!Arc::ptr_eq(&all[0].1.msg, &bcast[0].1.msg));
+        assert_eq!(one.len(), 1);
+        assert_eq!((one[0].0, *one[0].1.msg), (2, 11));
+    }
+
+    #[test]
+    fn flush_charges_every_copy_despite_sharing() {
+        /// A payload whose wire size is its value.
+        struct Weighted(u64);
+        impl WireSize for Weighted {
+            fn wire_bytes(&self) -> usize {
+                self.0 as usize
+            }
+        }
+        let flush = |out: Outbox<Weighted>| out.flush(1, &mut 0, |_, _| {});
+        let mut all = Outbox::new(5);
+        all.send_to_all(Weighted(7));
+        assert_eq!(flush(all), FlushStats { messages: 5, bytes: 35 });
+        let mut bcast = Outbox::new(5);
+        bcast.broadcast(Weighted(7));
+        assert_eq!(flush(bcast), FlushStats { messages: 1, bytes: 7 });
     }
 
     #[test]
@@ -749,7 +793,7 @@ mod tests {
         let mapped = out.map(|v| v as u64 + 100);
         let mut posts = Vec::new();
         let mut seq = 0;
-        mapped.flush(1, &mut seq, |to, rcv| posts.push((to, rcv.msg)));
+        mapped.flush(1, &mut seq, |to, rcv| posts.push((to, *rcv.msg)));
         assert_eq!(posts, vec![(2, 105), (1, 106), (2, 106), (3, 106)]);
     }
 
@@ -763,7 +807,7 @@ mod tests {
         a.append(b);
         let mut posts = Vec::new();
         let mut seq = 0;
-        a.flush(0, &mut seq, |to, rcv| posts.push((to, rcv.msg, rcv.broadcast)));
+        a.flush(0, &mut seq, |to, rcv| posts.push((to, *rcv.msg, rcv.broadcast)));
         assert_eq!(
             posts,
             vec![(1, 1, false), (2, 2, false), (1, 3, true), (2, 3, true), (3, 3, true)]
@@ -864,7 +908,7 @@ mod tests {
                     out.send_to_all(view.id as u32);
                     Step::Continue(out)
                 } else {
-                    Step::Done(view.inbox.iter().map(|r| r.msg).collect())
+                    Step::Done(view.inbox.iter().map(|r| *r.msg).collect())
                 }
             }
         }

@@ -52,7 +52,7 @@ impl Pool {
     }
 }
 
-impl<M: Clone + WireSize + Send> Runner<M, Pool> {
+impl<M: WireSize + Send + Sync> Runner<M, Pool> {
     /// A pooled runner for `n` parties, all randomness derived from
     /// `seed`. The pool defaults to `min(available cores, n)` workers;
     /// see [`with_threads`](Self::with_threads).
@@ -164,7 +164,7 @@ struct Pooled<'a, M, Out> {
     slots: &'a [Mutex<Slot<M, Out>>],
 }
 
-impl<M: Clone + WireSize, Out> Fleet<M, Out> for Pooled<'_, M, Out> {
+impl<M: WireSize, Out> Fleet<M, Out> for Pooled<'_, M, Out> {
     fn generation(&mut self, core: &mut RoundCore<M, Out>) {
         // Deal the live parties onto the worker deques (workers are parked
         // at the start barrier), let the workers step them, then settle.
@@ -196,7 +196,7 @@ fn run<M, Out>(
     threads: usize,
 ) -> RunResult<Out>
 where
-    M: Clone + WireSize + Send,
+    M: WireSize + Send + Sync,
     Out: Send,
 {
     let n = core.n();

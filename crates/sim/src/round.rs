@@ -28,6 +28,7 @@
 //! which thread hosted either.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 
 use dprbg_metrics::{comm, CostReport, CostSnapshot, WireSize};
 use dprbg_rng::rngs::StdRng;
@@ -118,7 +119,7 @@ pub(crate) struct RoundCore<M, Out> {
     generation: u64,
 }
 
-impl<M: Clone + WireSize, Out> RoundCore<M, Out> {
+impl<M: WireSize, Out> RoundCore<M, Out> {
     /// The core for `setup` plus each party's machine-side state.
     ///
     /// # Panics
@@ -215,7 +216,7 @@ impl<M: Clone + WireSize, Out> RoundCore<M, Out> {
                                 to,
                                 round: generation,
                                 broadcast: rcv.broadcast,
-                                msg: &rcv.msg,
+                                msg: &*rcv.msg,
                             };
                             match tap.intercept(hop) {
                                 MsgFate::Deliver => rcv,
@@ -225,7 +226,7 @@ impl<M: Clone + WireSize, Out> RoundCore<M, Out> {
                                     delayed.push((due, to, rcv));
                                     return;
                                 }
-                                MsgFate::Tamper(msg) => Received { msg, ..rcv },
+                                MsgFate::Tamper(msg) => Received { msg: Arc::new(msg), ..rcv },
                             }
                         }
                     };
@@ -274,5 +275,99 @@ impl<M: Clone + WireSize, Out> RoundCore<M, Out> {
             fleet.deliver(to0 + 1, Inbox::from_messages(msgs));
         }
         self.profile.push(RoundProfile { deliveries, live_parties: self.active });
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::Arc;
+
+    use crate::adversary::{MsgFate, MsgHop};
+    use crate::machine::{BoxedMachine, RoundMachine, RoundView, Step};
+    use crate::router::PartyId;
+    use crate::ExecutorKind;
+
+    /// One delivered copy as a recipient kept it: `(round, from,
+    /// broadcast, payload)`, with the payload's `Arc` itself so tests can
+    /// compare allocations across recipients.
+    type Kept = (u64, PartyId, bool, Arc<u64>);
+
+    /// Round 0: `send_to_all(10·id)` and `broadcast(10·id + 1)`; then
+    /// keep every delivered copy for two more rounds.
+    struct Keeper(Vec<Kept>);
+
+    impl RoundMachine<u64> for Keeper {
+        type Output = Vec<Kept>;
+        fn round(&mut self, view: RoundView<'_, u64>) -> Step<u64, Vec<Kept>> {
+            let round = view.round;
+            self.0.extend(view.inbox.iter().map(|r| (round, r.from, r.broadcast, r.msg.clone())));
+            let mut out = view.outbox();
+            match round {
+                0 => {
+                    out.send_to_all(10 * view.id as u64);
+                    out.broadcast(10 * view.id as u64 + 1);
+                }
+                3 => return Step::Done(std::mem::take(&mut self.0)),
+                _ => {}
+            }
+            Step::Continue(out)
+        }
+    }
+
+    /// Party 1's copies as each recipient kept them, indexed by recipient.
+    fn from_party_1(outputs: &[Vec<Kept>], broadcast: bool) -> Vec<&Kept> {
+        outputs
+            .iter()
+            .map(|kept| kept.iter().find(|k| k.1 == 1 && k.2 == broadcast).expect("copy arrived"))
+            .collect()
+    }
+
+    /// Party 1's private copy to 2 is tampered and its copy to 3 delayed
+    /// one round; everything else is delivered.
+    fn tapped_run(kind: ExecutorKind) -> Vec<Vec<Kept>> {
+        let tap = |hop: MsgHop<'_, u64>| match (hop.from, hop.to, hop.broadcast) {
+            (1, 2, false) => MsgFate::Tamper(999),
+            (1, 3, false) => MsgFate::Delay(1),
+            _ => MsgFate::Deliver,
+        };
+        let fleet = (0..4).map(|_| Box::new(Keeper(Vec::new())) as BoxedMachine<_, _>).collect();
+        kind.runner(4, 3).with_tap(tap).run(fleet).unwrap_all()
+    }
+
+    const KINDS: [ExecutorKind; 3] =
+        [ExecutorKind::Step, ExecutorKind::ParThreads(1), ExecutorKind::ParThreads(4)];
+
+    #[test]
+    fn broadcast_copies_share_one_allocation_end_to_end() {
+        for kind in KINDS {
+            let outputs = tapped_run(kind);
+            let copies = from_party_1(&outputs, true);
+            let shared = copies.iter().all(|k| *k.3 == 11 && Arc::ptr_eq(&k.3, &copies[0].3));
+            assert!(shared, "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn tampered_copy_is_a_fresh_allocation_and_siblings_are_untouched() {
+        for kind in KINDS {
+            let outputs = tapped_run(kind);
+            let copies = from_party_1(&outputs, false);
+            let (to1, to2, to4) = (&copies[0].3, &copies[1].3, &copies[3].3);
+            assert_eq!((**to1, **to2, **to4), (10, 999, 10), "{kind:?}");
+            assert!(Arc::ptr_eq(to1, to4), "{kind:?}: untampered siblings share");
+            assert!(!Arc::ptr_eq(to1, to2), "{kind:?}: tampered copy is its own");
+        }
+    }
+
+    #[test]
+    fn delayed_copy_keeps_its_payload() {
+        for kind in KINDS {
+            let outputs = tapped_run(kind);
+            let copies = from_party_1(&outputs, false);
+            let (on_time, delayed) = (copies[0], copies[2]);
+            assert_eq!((on_time.0, delayed.0), (1, 2), "{kind:?}: delayed one round");
+            assert_eq!(*delayed.3, 10, "{kind:?}");
+            assert!(Arc::ptr_eq(&delayed.3, &on_time.3), "{kind:?}: same allocation as siblings");
+        }
     }
 }

@@ -7,10 +7,18 @@
 //! machine reads at a round boundary. A message sent in round `r` is visible exactly at
 //! round `r + 1`, sorted by `(sender, send order)`.
 
+use std::sync::Arc;
+
 /// A party identifier, 1-based to match the paper's `P_1 … P_n`.
 pub type PartyId = usize;
 
 /// A message as delivered to a recipient.
+///
+/// The payload is shared: every copy of one `send_to_all` or broadcast
+/// points at a single allocation (the cost model still charges each copy,
+/// see [`Outbox`](crate::Outbox)). Because copies cross worker threads
+/// under [`ParRunner`](crate::ParRunner), a wire type run there must be
+/// `Send + Sync`; plain data always is.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Received<M> {
     /// The sending party.
@@ -21,8 +29,8 @@ pub struct Received<M> {
     /// Send-order sequence number within the sender's round (used for
     /// deterministic inbox ordering).
     pub seq: u32,
-    /// The payload.
-    pub msg: M,
+    /// The payload, shared with every other copy of the same send.
+    pub msg: Arc<M>,
 }
 
 /// Per-round delivery statistics, recorded at each round flip.
@@ -110,21 +118,21 @@ mod tests {
     #[test]
     fn inbox_ordering_is_deterministic() {
         let inbox = Inbox::from_messages(vec![
-            Received { from: 2, broadcast: false, seq: 1, msg: 20 },
-            Received { from: 1, broadcast: false, seq: 0, msg: 10 },
-            Received { from: 2, broadcast: false, seq: 0, msg: 19 },
+            Received { from: 2, broadcast: false, seq: 1, msg: Arc::new(20) },
+            Received { from: 1, broadcast: false, seq: 0, msg: Arc::new(10) },
+            Received { from: 2, broadcast: false, seq: 0, msg: Arc::new(19) },
         ]);
-        let vals: Vec<u32> = inbox.iter().map(|r| r.msg).collect();
+        let vals: Vec<u32> = inbox.iter().map(|r| *r.msg).collect();
         assert_eq!(vals, vec![10, 19, 20]);
-        assert_eq!(inbox.first_from(2).unwrap().msg, 19);
+        assert_eq!(*inbox.first_from(2).unwrap().msg, 19);
         assert_eq!(inbox.from(2).count(), 2);
     }
 
     #[test]
     fn broadcast_flag_preserved() {
         let inbox = Inbox::from_messages(vec![
-            Received { from: 1, broadcast: true, seq: 0, msg: 1 },
-            Received { from: 1, broadcast: false, seq: 1, msg: 2 },
+            Received { from: 1, broadcast: true, seq: 0, msg: Arc::new(1) },
+            Received { from: 1, broadcast: false, seq: 1, msg: Arc::new(2) },
         ]);
         assert_eq!(inbox.broadcasts().count(), 1);
         assert_eq!(inbox.len(), 2);

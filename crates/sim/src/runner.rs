@@ -103,7 +103,7 @@ impl ExecutorKind {
     }
 }
 
-impl<M: Clone + WireSize + Send> Runner<M, ExecutorKind> {
+impl<M: WireSize + Send + Sync> Runner<M, ExecutorKind> {
     /// Drive every machine to completion on the chosen executor.
     ///
     /// # Panics
@@ -148,7 +148,7 @@ pub(crate) mod checks {
                 out.send_to_all(view.id as u64);
                 Step::Continue(out)
             } else {
-                Step::Done(view.inbox.iter().map(|r| r.msg).collect())
+                Step::Done(view.inbox.iter().map(|r| *r.msg).collect())
             }
         }
     }
@@ -168,7 +168,7 @@ pub(crate) mod checks {
                 out.send_to_all(view.round * 100 + view.id as u64);
                 Step::Continue(out)
             } else {
-                Step::Done(view.inbox.iter().map(|r| r.msg).collect())
+                Step::Done(view.inbox.iter().map(|r| *r.msg).collect())
             }
         }
     }

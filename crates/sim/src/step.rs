@@ -20,7 +20,7 @@ pub struct Inline;
 /// The deterministic single-threaded executor.
 pub type StepRunner<M> = Runner<M, Inline>;
 
-impl<M: Clone + WireSize, Out> Fleet<M, Out> for Vec<Party<M, Out>> {
+impl<M: WireSize, Out> Fleet<M, Out> for Vec<Party<M, Out>> {
     fn generation(&mut self, core: &mut RoundCore<M, Out>) {
         for (idx, party) in self.iter_mut().enumerate() {
             if !party.done {
@@ -35,7 +35,7 @@ impl<M: Clone + WireSize, Out> Fleet<M, Out> for Vec<Party<M, Out>> {
     }
 }
 
-impl<M: Clone + WireSize> Runner<M, Inline> {
+impl<M: WireSize> Runner<M, Inline> {
     /// A single-threaded runner for `n` parties, all randomness derived
     /// from `seed`.
     ///

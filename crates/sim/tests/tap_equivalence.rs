@@ -35,7 +35,7 @@ impl RoundMachine<u64> for Gossip {
 
     fn round(&mut self, view: RoundView<'_, u64>) -> Step<u64, Self::Output> {
         self.transcript
-            .extend(view.inbox.iter().map(|r| (view.round, r.from, r.broadcast, r.msg)));
+            .extend(view.inbox.iter().map(|r| (view.round, r.from, r.broadcast, *r.msg)));
         if view.round < self.rounds {
             let mut out = view.outbox();
             out.broadcast(view.id as u64 * 1000 + view.round);

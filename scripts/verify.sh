@@ -30,6 +30,12 @@ echo "== tests (dprbg-sim, release, offline) =="
 # release arithmetic so a wrap cannot hide behind a debug-only panic.
 cargo test --release -q -p dprbg-sim --offline
 
+echo "== tests (executor goldens + n=61 parity, release, offline) =="
+# The absolute-byte goldens in tests/golden/ and the n=61 parity smoke
+# run again on release arithmetic, through the optimised shared-payload
+# fan-out that the release benchmarks measure.
+cargo test --release -q --test executors --offline
+
 echo "== lint (clippy, workspace, offline) =="
 cargo clippy --workspace --offline -- -D warnings
 

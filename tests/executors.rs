@@ -447,7 +447,7 @@ fn run_traced<Msg, Out>(
     machines: Vec<BoxedMachine<Msg, Out>>,
 ) -> RunResult<Out>
 where
-    Msg: Clone + Send + WireSize + 'static,
+    Msg: Send + Sync + WireSize + 'static,
     Out: Send,
 {
     let cfg = dprbg::sim::TraceConfig::full();
@@ -549,7 +549,7 @@ impl RoundMachine<u64> for Chatter {
     fn round(&mut self, view: RoundView<'_, u64>) -> Step<u64, Self::Output> {
         use dprbg_rng::RngExt;
         for r in view.inbox {
-            self.log.push((view.round, r.from, r.seq, r.broadcast, r.msg));
+            self.log.push((view.round, r.from, r.seq, r.broadcast, *r.msg));
         }
         if view.round == 6 {
             return Step::Done(std::mem::take(&mut self.log));
